@@ -593,33 +593,13 @@ fn gather_stats<H: HashWord>(store: &AlphaStore<H>) -> RemoteStats {
         health_code: health.code(),
         health_reason: health.reason().to_owned(),
         recovery: store.recovery_info().map(|r| (r.replayed_records, r.clean)),
-        obs_json: obs_json(store),
+        obs_json: store.obs_report().to_json(),
     }
 }
 
-#[cfg(feature = "obs")]
-fn obs_json<H: HashWord>(store: &AlphaStore<H>) -> String {
-    store.obs_report().to_json()
-}
-
-#[cfg(not(feature = "obs"))]
-fn obs_json<H: HashWord>(_store: &AlphaStore<H>) -> String {
-    String::new()
-}
-
-#[cfg(feature = "obs")]
 fn metrics_response<H: HashWord>(store: &AlphaStore<H>, out: &mut Vec<u8>) {
     wire::put_u8(out, wire::RESP_OK);
     wire::put_str(out, &store.obs_report().to_prometheus());
-}
-
-#[cfg(not(feature = "obs"))]
-fn metrics_response<H: HashWord>(_store: &AlphaStore<H>, out: &mut Vec<u8>) {
-    wire::put_error(
-        out,
-        wire::ERR_UNSUPPORTED,
-        "server built without the obs feature",
-    );
 }
 
 /// Like [`wire::read_frame`] but over a socket with a read timeout:

@@ -65,8 +65,7 @@ pub const OP_CONTAINS: u8 = 0x06;
 pub const OP_CONTAINS_BATCH: u8 = 0x07;
 /// Store statistics + health + recovery snapshot ([`RemoteStats`]).
 pub const OP_STATS: u8 = 0x08;
-/// Prometheus exposition-format metrics text (requires the `obs`
-/// feature server-side; otherwise [`ERR_UNSUPPORTED`]).
+/// Prometheus exposition-format metrics text.
 pub const OP_METRICS_PROMETHEUS: u8 = 0x09;
 /// Checkpoint the store (snapshot + WAL reset), serialized against
 /// serving by the store's maintenance lock.
@@ -104,9 +103,8 @@ pub const ERR_TERM: u8 = 0x83;
 pub const ERR_READ_ONLY: u8 = 0x84;
 /// The daemon is draining for shutdown and no longer accepts work.
 pub const ERR_SHUTTING_DOWN: u8 = 0x85;
-/// The operation is not compiled into this server (e.g.
-/// [`OP_METRICS_PROMETHEUS`] without the `obs` feature).
-pub const ERR_UNSUPPORTED: u8 = 0x86;
+// 0x86 is retired (it was `ERR_UNSUPPORTED`, sent when a server was
+// built without metrics) and must never be reused.
 /// An [`OP_UPDATE`] rewrite was refused before any state changed
 /// ([`alpha_store::StoreError::InvalidRewrite`]): unknown term handle,
 /// a path that does not resolve, or a replacement that would capture a
@@ -344,11 +342,17 @@ const LIT_BOOL: u8 = 2;
 /// and variable names this term uses), then the nodes, children
 /// referenced by their position earlier in the run. The root is the
 /// last node. Appended to `out` so batch chunks concatenate terms.
+///
+/// The run is always a tree: every position is referenced at most once,
+/// as [`take_term`] requires. An arena node shared by several parents is
+/// emitted once per occurrence.
 pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
     let order = postorder(arena, root);
-    // Positions of emitted nodes, keyed by arena id. Names are interned
-    // into a per-term table in first-use order.
-    let mut pos = std::collections::HashMap::with_capacity(order.len());
+    // Positions of emitted subtrees not yet claimed by a parent. In
+    // postorder a node's children are the topmost entries, last child
+    // on top, so popping them yields each occurrence's own position.
+    let mut pending: Vec<u32> = Vec::new();
+    // Names are interned into a per-term table in first-use order.
     let mut names: Vec<&str> = Vec::new();
     let mut name_idx: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
     // First pass: build the name table in first-use order.
@@ -374,26 +378,29 @@ pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
     put_u32(out, u32::try_from(order.len()).expect("node run fits u32"));
     for (i, &id) in order.iter().enumerate() {
         let i = u32::try_from(i).expect("node run fits u32");
+        let mut child = || pending.pop().expect("postorder emits children first");
         match arena.node(id) {
             ExprNode::Var(s) => {
                 put_u8(out, NODE_VAR);
                 put_u32(out, name_idx[arena.name(s)]);
             }
-            ExprNode::Lam(s, body) => {
+            ExprNode::Lam(s, _) => {
                 put_u8(out, NODE_LAM);
                 put_u32(out, name_idx[arena.name(s)]);
-                put_u32(out, pos[&body]);
+                put_u32(out, child());
             }
-            ExprNode::App(f, a) => {
+            ExprNode::App(..) => {
+                let (a, f) = (child(), child());
                 put_u8(out, NODE_APP);
-                put_u32(out, pos[&f]);
-                put_u32(out, pos[&a]);
+                put_u32(out, f);
+                put_u32(out, a);
             }
-            ExprNode::Let(s, rhs, body) => {
+            ExprNode::Let(s, ..) => {
+                let (body, rhs) = (child(), child());
                 put_u8(out, NODE_LET);
                 put_u32(out, name_idx[arena.name(s)]);
-                put_u32(out, pos[&rhs]);
-                put_u32(out, pos[&body]);
+                put_u32(out, rhs);
+                put_u32(out, body);
             }
             ExprNode::Lit(lit) => {
                 put_u8(out, NODE_LIT);
@@ -413,15 +420,25 @@ pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
                 }
             }
         }
-        pos.insert(id, i);
+        pending.push(i);
     }
 }
 
 /// Decodes one term into `arena`, returning its root. Rejects forward
-/// or self child references and out-of-range name indices, so a decoded
-/// term is always a well-formed tree.
+/// or self child references, a second reference to any position, and
+/// out-of-range name indices. So the root's tree has at most as many
+/// nodes as the run, and a short frame cannot stand for an
+/// exponentially large term; nodes no parent references are decoded
+/// and left unused.
 pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, WireError> {
+    // Counts are checked against the bytes left before anything is
+    // sized by them: a name takes at least 4 bytes, a node at least 3.
     let name_count = take_u32(input)? as usize;
+    if name_count > input.len() / 4 {
+        return Err(frame_err(format!(
+            "name count {name_count} exceeds the payload"
+        )));
+    }
     let mut syms = Vec::with_capacity(name_count);
     for _ in 0..name_count {
         let name = take_str(input)?;
@@ -431,20 +448,32 @@ pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, Wir
     if node_count == 0 {
         return Err(frame_err("term has zero nodes"));
     }
+    if node_count > input.len() / 3 {
+        return Err(frame_err(format!(
+            "node count {node_count} exceeds the payload"
+        )));
+    }
     let mut ids: Vec<NodeId> = Vec::with_capacity(node_count);
+    // Positions some earlier node already took as a child.
+    let mut referenced = vec![false; node_count];
     let sym = |syms: &[lambda_lang::Symbol], i: u32| {
         syms.get(i as usize)
             .copied()
             .ok_or_else(|| frame_err(format!("name index {i} out of range ({name_count} names)")))
     };
     for i in 0..node_count {
-        let child = |ids: &[NodeId], p: u32| {
-            if (p as usize) < i {
-                Ok(ids[p as usize])
-            } else {
+        let mut child = |ids: &[NodeId], p: u32| {
+            let p = p as usize;
+            if p >= i {
                 Err(frame_err(format!(
                     "child reference {p} at node {i} is not backward"
                 )))
+            } else if std::mem::replace(&mut referenced[p], true) {
+                Err(frame_err(format!(
+                    "child reference {p} at node {i} reuses a referenced node"
+                )))
+            } else {
+                Ok(ids[p])
             }
         };
         let id = match take_u8(input)? {
@@ -666,8 +695,7 @@ pub fn take_opt_class(input: &mut &[u8]) -> Result<Option<u64>, WireError> {
 
 /// Point-in-time store state as served by [`OP_STATS`]: the ingest
 /// counters, the class/term census, durability and health, what
-/// recovery did at open, and (when the server has the `obs` feature)
-/// the full metrics report as JSON.
+/// recovery did at open, and the full metrics report as JSON.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RemoteStats {
     /// Terms ingested.
@@ -699,8 +727,7 @@ pub struct RemoteStats {
     /// WAL records replayed when the store was opened, with the
     /// clean-reopen flag; `None` for in-memory or fresh stores.
     pub recovery: Option<(u64, bool)>,
-    /// `obs_report().to_json()` when the server has the `obs` feature,
-    /// empty otherwise.
+    /// The store's `obs_report().to_json()`.
     pub obs_json: String,
 }
 
@@ -778,27 +805,37 @@ mod tests {
     use super::*;
     use lambda_lang::parse;
 
+    /// A parsed term, and a term whose arena shares nodes between
+    /// parents (`App(x, x)` with `x` itself shared below), which encodes
+    /// with one copy per occurrence, so the run stays a tree.
     #[test]
     fn term_round_trips_exactly() {
         let mut src_arena = ExprArena::new();
-        let root =
+        let parsed =
             parse(&mut src_arena, r"let f = \x. \y. x + (y * 2) in f true 3").expect("parses");
-        let mut bytes = Vec::new();
-        put_term(&mut bytes, &src_arena, root);
-        let mut input = bytes.as_slice();
-        let mut dst_arena = ExprArena::new();
-        let decoded = take_term(&mut input, &mut dst_arena).expect("decodes");
-        assert!(input.is_empty(), "decoder consumed the whole run");
-        assert!(
-            lambda_lang::alpha_eq(&src_arena, root, &dst_arena, decoded),
-            "decoded term is alpha-equal to the original"
-        );
-        // Names survive verbatim, so the round trip is printed-identical
-        // too, not just alpha-equal.
-        assert_eq!(
-            lambda_lang::print(&src_arena, root),
-            lambda_lang::print(&dst_arena, decoded)
-        );
+        let y = src_arena.intern("y");
+        let leaf = src_arena.var(y);
+        let pair = src_arena.app(leaf, leaf);
+        let twice = src_arena.app(pair, pair);
+        let shared = src_arena.lam(y, twice);
+        for root in [parsed, shared] {
+            let mut bytes = Vec::new();
+            put_term(&mut bytes, &src_arena, root);
+            let mut input = bytes.as_slice();
+            let mut dst_arena = ExprArena::new();
+            let decoded = take_term(&mut input, &mut dst_arena).expect("decodes");
+            assert!(input.is_empty(), "decoder consumed the whole run");
+            assert!(
+                lambda_lang::alpha_eq(&src_arena, root, &dst_arena, decoded),
+                "decoded term is alpha-equal to the original"
+            );
+            // Names survive verbatim, so the round trip is printed-identical
+            // too, not just alpha-equal.
+            assert_eq!(
+                lambda_lang::print(&src_arena, root),
+                lambda_lang::print(&dst_arena, decoded)
+            );
+        }
     }
 
     #[test]
@@ -815,6 +852,44 @@ mod tests {
         let mut arena = ExprArena::new();
         let err = take_term(&mut bytes.as_slice(), &mut arena);
         assert!(matches!(err, Err(WireError::Frame(_))));
+    }
+
+    /// An `App(n, n)` doubling chain: one `Var`, then 20 `App` nodes whose
+    /// two children are both the previous node. 198 bytes that would
+    /// stand for a 2,097,151-node tree.
+    #[test]
+    fn term_decoder_rejects_reused_references() {
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, 1);
+        put_str(&mut bytes, "n");
+        put_u32(&mut bytes, 21);
+        put_u8(&mut bytes, NODE_VAR);
+        put_u32(&mut bytes, 0);
+        for i in 0..20 {
+            put_u8(&mut bytes, NODE_APP);
+            put_u32(&mut bytes, i);
+            put_u32(&mut bytes, i);
+        }
+        assert_eq!(bytes.len(), 198);
+        let mut arena = ExprArena::new();
+        let err = take_term(&mut bytes.as_slice(), &mut arena);
+        assert!(matches!(err, Err(WireError::Frame(_))), "{err:?}");
+        assert!(arena.len() <= 21, "decoding stops at the first reuse");
+    }
+
+    #[test]
+    fn term_decoder_rejects_counts_larger_than_the_payload() {
+        for (names, nodes) in [(u32::MAX, 1), (0, u32::MAX)] {
+            let mut bytes = Vec::new();
+            put_u32(&mut bytes, names);
+            put_u32(&mut bytes, nodes);
+            put_u8(&mut bytes, NODE_LIT);
+            put_u8(&mut bytes, LIT_BOOL);
+            put_u8(&mut bytes, 1);
+            let mut arena = ExprArena::new();
+            let err = take_term(&mut bytes.as_slice(), &mut arena);
+            assert!(matches!(err, Err(WireError::Frame(_))), "{err:?}");
+        }
     }
 
     #[test]
@@ -930,7 +1005,6 @@ mod tests {
             ("ERR_TERM", ERR_TERM),
             ("ERR_READ_ONLY", ERR_READ_ONLY),
             ("ERR_SHUTTING_DOWN", ERR_SHUTTING_DOWN),
-            ("ERR_UNSUPPORTED", ERR_UNSUPPORTED),
             ("ERR_INVALID_REWRITE", ERR_INVALID_REWRITE),
             ("ERR_PERSIST_IO", ERR_PERSIST_IO),
             ("ERR_PERSIST_CORRUPT", ERR_PERSIST_CORRUPT),

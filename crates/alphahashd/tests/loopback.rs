@@ -745,3 +745,81 @@ fn torn_connection_mid_update_leaves_store_consistent() {
     client.shutdown().expect("shutdown op");
     daemon.join();
 }
+
+/// A frame whose node run references one node twice (an `App(n, n)`
+/// doubling chain: 198 bytes that would expand to a 2,097,151-node
+/// tree) is refused with `ERR_TERM` before it reaches the store, and
+/// the daemon keeps serving.
+#[test]
+fn dag_bomb_frame_is_refused_with_err_term() {
+    let store: Arc<AlphaStore<u64>> = Arc::new(AlphaStore::default());
+    let daemon = spawn_daemon(Arc::clone(&store));
+
+    let mut stream = TcpStream::connect(daemon.local_addr()).expect("connect raw");
+    let mut hs = Vec::new();
+    wire::put_handshake(&mut hs, wire::PROTOCOL_VERSION);
+    wire::write_frame(&mut stream, &hs).expect("handshake");
+    let hello = wire::read_frame(&mut stream)
+        .expect("hello")
+        .expect("frame");
+    assert_eq!(hello[0], wire::RESP_OK);
+
+    const K: u32 = 20;
+    let mut term = Vec::new();
+    term.extend_from_slice(&1u32.to_le_bytes()); // one name…
+    term.extend_from_slice(&1u32.to_le_bytes());
+    term.push(b'n'); // …"n"
+    term.extend_from_slice(&(K + 1).to_le_bytes()); // nodes
+    term.push(0); // Var n
+    term.extend_from_slice(&0u32.to_le_bytes());
+    for i in 0..K {
+        term.push(2); // App(i, i)
+        term.extend_from_slice(&i.to_le_bytes());
+        term.extend_from_slice(&i.to_le_bytes());
+    }
+    assert_eq!(term.len(), 198);
+    let mut payload = vec![wire::OP_INSERT];
+    payload.extend_from_slice(&term);
+    wire::write_frame(&mut stream, &payload).expect("bomb frame");
+    let resp = wire::read_frame(&mut stream)
+        .expect("response")
+        .expect("frame");
+    assert_eq!(resp[0], wire::ERR_TERM);
+    assert_eq!(store.num_terms(), 0, "nothing reached the store");
+    drop(stream);
+
+    let mut client = Client::connect(daemon.local_addr().to_string()).expect("connect");
+    let mut arena = ExprArena::new();
+    let t = lambda_lang::parse::parse(&mut arena, r"\x. x").unwrap();
+    client.insert(&arena, t).expect("daemon still serves");
+
+    client.shutdown().expect("shutdown op");
+    daemon.join();
+}
+
+/// A client term whose arena shares nodes between parents is sent as a
+/// tree and lands in the class of its unshared alpha-equivalent.
+#[test]
+fn shared_arena_term_inserts_into_its_alpha_class() {
+    let store: Arc<AlphaStore<u64>> = Arc::new(AlphaStore::default());
+    let daemon = spawn_daemon(Arc::clone(&store));
+    let mut client = Client::connect(daemon.local_addr().to_string()).expect("connect");
+
+    let mut arena = ExprArena::new();
+    let y = arena.intern("y");
+    let leaf = arena.var(y);
+    let pair = arena.app(leaf, leaf);
+    let twice = arena.app(pair, pair);
+    let shared = arena.lam(y, twice);
+    let plain = lambda_lang::parse::parse(&mut arena, r"\z. (z z) (z z)").unwrap();
+
+    let a = client.insert(&arena, shared).expect("shared-node insert");
+    let b = client.insert(&arena, plain).expect("plain insert");
+    assert_eq!(a.class, b.class);
+    assert!(a.fresh && !b.fresh);
+    assert_eq!(store.num_classes(), 1);
+    assert!(store.stats().is_exact());
+
+    client.shutdown().expect("shutdown op");
+    daemon.join();
+}

@@ -320,18 +320,6 @@ fn main() {
     };
     let _ = std::fs::remove_dir_all(&durable_dir);
 
-    // The Vfs seam's ingest cost against the last pre-VFS recording
-    // (PR 6's BENCH_store.json `durable.terms_per_sec`): positive =
-    // slower than the baseline. Acceptance bound: <= 2%. On a shared
-    // 1-core container the absolute rate swings ~15% run to run, so the
-    // load-bearing form is the delta of durable-vs-in-memory overhead
-    // against PR 6's recording of the same within-run ratio — both
-    // sides of that ratio see the same machine, only the VFS seam
-    // differs.
-    const PRE_VFS_DURABLE_BASELINE_TPS: f64 = 148_240.3;
-    const PRE_VFS_DURABLE_OVERHEAD_VS_MEMORY: f64 = 0.0407;
-    let vfs_overhead_vs_baseline = PRE_VFS_DURABLE_BASELINE_TPS / rate(durable) - 1.0;
-    let vfs_overhead_within_run = (durable / single - 1.0) - PRE_VFS_DURABLE_OVERHEAD_VS_MEMORY;
     let node_rate = |secs: f64| corpus_nodes as f64 / secs;
     println!(
         "  unbatched 1 thread : {:>10} ({:>12.0} terms/s, {:>12.0} nodes/s)",
@@ -409,10 +397,7 @@ fn main() {
         wal_commit_p99,
     );
     println!(
-        "  reliability        : vfs overhead vs pre-VFS baseline {:+.1}% cross-run / {:+.1}% \
-         within-run, flaky-disk ingest {} ({} retries, commit p50/p99 {:.0}/{:.0} ns)",
-        100.0 * vfs_overhead_vs_baseline,
-        100.0 * vfs_overhead_within_run,
+        "  reliability        : flaky-disk ingest {} ({} retries, commit p50/p99 {:.0}/{:.0} ns)",
         format_ms(retry_secs),
         wal_retries,
         retry_commit_p50,
@@ -488,11 +473,7 @@ fn main() {
                 "    \"contains_batch_queries_per_sec\": {cb_qps:.1}\n",
                 "  }},\n",
                 "  \"reliability\": {{\n",
-                "    \"baseline_durable_terms_per_sec\": {pre_vfs_baseline:.1},\n",
                 "    \"durable_terms_per_sec\": {durable_rate:.1},\n",
-                "    \"vfs_overhead_vs_baseline\": {vfs_overhead:.4},\n",
-                "    \"baseline_durable_overhead_vs_memory\": {pre_vfs_ovm:.4},\n",
-                "    \"vfs_overhead_within_run\": {vfs_overhead_wr:.4},\n",
                 "    \"flaky_disk_ingest_secs\": {retry_secs:.6},\n",
                 "    \"flaky_disk_terms_per_sec\": {retry_rate:.1},\n",
                 "    \"wal_retries\": {wal_retries},\n",
@@ -565,10 +546,6 @@ fn main() {
             cb_patterns = pattern_count,
             cb_secs = contains_batch_secs,
             cb_qps = contains_qps,
-            pre_vfs_baseline = PRE_VFS_DURABLE_BASELINE_TPS,
-            vfs_overhead = vfs_overhead_vs_baseline,
-            pre_vfs_ovm = PRE_VFS_DURABLE_OVERHEAD_VS_MEMORY,
-            vfs_overhead_wr = vfs_overhead_within_run,
             retry_secs = retry_secs,
             retry_rate = rate(retry_secs),
             wal_retries = wal_retries,

@@ -16,7 +16,7 @@
 //!   [`Report`] snapshot renders to Prometheus text format or JSON and
 //!   offers typed accessors for programmatic reads.
 //!
-//! The instrumented component (see `alpha-store`'s `obs` feature)
+//! The instrumented component (see `alpha-store`'s `obs` module)
 //! decides *what* to measure; this crate only provides the mechanics.
 //!
 //! [`Counter`]: metrics::Counter

@@ -234,11 +234,7 @@ impl CanonTable {
     }
 
     /// `(hits, misses)` of the intern probes since construction — the
-    /// dedup ratio of the hash-consing layer. Only the obs surface reads
-    /// it today, but the counters are maintained unconditionally (two
-    /// relaxed atomics per intern) so the numbers are honest whenever
-    /// the feature is recompiled in.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
+    /// dedup ratio of the hash-consing layer, read by the obs report.
     pub(crate) fn intern_stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),

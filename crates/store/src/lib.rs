@@ -116,5 +116,4 @@ pub use update::{Rewrite, UpdateOutcome};
 /// callers can name its types ([`Report`](alpha_obs::Report),
 /// [`Event`](alpha_obs::Event), [`Subscriber`](alpha_obs::Subscriber))
 /// without a separate dependency edge.
-#[cfg(feature = "obs")]
 pub use alpha_obs;

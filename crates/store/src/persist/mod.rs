@@ -114,8 +114,7 @@ pub enum PersistError {
     /// be rebuilt from disk — where other I/O errors (a failed snapshot
     /// write, say) leave the store fully recoverable. The `op` says
     /// which log operation failed; every occurrence also increments the
-    /// `alpha_store_persist_errors` counter when the `obs` feature is
-    /// on.
+    /// `alpha_store_persist_errors` counter.
     Wal {
         /// The WAL operation that failed.
         op: WalOp,
@@ -128,8 +127,7 @@ pub enum PersistError {
     /// silently swallowed). A failed snapshot leaves the previous snapshot
     /// and the WAL untouched: the store remains fully recoverable, which
     /// is why this is distinct from [`PersistError::Wal`]. Every
-    /// occurrence also increments `alpha_store_persist_errors` when the
-    /// `obs` feature is on.
+    /// occurrence also increments `alpha_store_persist_errors`.
     Snapshot {
         /// The snapshot-protocol step that failed.
         op: SnapshotOp,

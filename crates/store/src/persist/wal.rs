@@ -789,8 +789,7 @@ mod tests {
 
     /// An injected `ENOSPC` on append surfaces as the typed
     /// [`PersistError::Wal`] (naming the failed op), leaves the record
-    /// count unchanged, and — with the `obs` feature — bumps the
-    /// persist-error counter. This used to need `/dev/full` (Linux-only,
+    /// count unchanged, and bumps the persist-error counter. This used to need `/dev/full` (Linux-only,
     /// kernel-version-dependent op attribution); [`FaultVfs`] makes it
     /// deterministic everywhere.
     #[test]
@@ -799,12 +798,8 @@ mod tests {
         let path = tmp("enospc.wal");
         let fault = FaultVfs::new();
         let mut wal = Wal::create(&fault, &path, header(), true).unwrap();
-        #[cfg(feature = "obs")]
         let store_obs = crate::obs::StoreObs::new();
-        #[cfg(feature = "obs")]
-        {
-            wal.obs = store_obs.wal_obs();
-        }
+        wal.obs = store_obs.wal_obs();
         fault.fail_always(FaultKind::Enospc);
         let (frames, count) = sample_frames(&[&[r"\x. x"]]);
         let err = wal.append_group(&frames, count).unwrap_err();
@@ -816,11 +811,8 @@ mod tests {
             other => panic!("expected PersistError::Wal, got {other:?}"),
         }
         assert_eq!(wal.records, 0, "failed append must not count records");
-        #[cfg(feature = "obs")]
-        {
-            let report = store_obs.report(Vec::new());
-            assert_eq!(report.counter("alpha_store_persist_errors"), Some(1));
-        }
+        let report = store_obs.report(Vec::new());
+        assert_eq!(report.counter("alpha_store_persist_errors"), Some(1));
     }
 
     /// A short write (partial bytes on disk, then an error) followed by a

@@ -372,58 +372,6 @@ pub(crate) struct StoredClass<H> {
     pub(crate) occurrences: u64,
 }
 
-/// Capacity of each shard's [`HotClassCache`]: big enough to cover the
-/// working set of a merge-heavy ingest (a corpus rarely hammers more
-/// than a few dozen classes per stripe at once), small enough that the
-/// linear probe is a handful of cache lines.
-const HOT_CLASS_CAP: usize = 32;
-
-/// A small bounded map of recently-merged `(hash, CanonRef)` pairs, one
-/// per shard, replaced ring-style once full.
-///
-/// The cache is **advisory only**: a hit never decides equality. It
-/// routes a frontier entry whose hash recently merged through the canon
-/// table's interner — pure hash-consing lookups on a hot class, since
-/// every node is already resident — so the merge confirms by O(1) ref
-/// compare instead of a structural [`eq_frontier`] walk over the whole
-/// form. A colliding entry costs one wasted intern (which class
-/// creation would have paid anyway) and nothing else, which is why
-/// recovery can simply start the cache empty: exactness never depends
-/// on its contents. Refs stay valid for the store's lifetime (the canon
-/// table is append-only), so entries never go stale in-process.
-pub(crate) struct HotClassCache<H> {
-    entries: Vec<(H, CanonRef)>,
-    /// Next ring slot to evict once `entries` is full.
-    clock: usize,
-}
-
-impl<H: HashWord> HotClassCache<H> {
-    fn new() -> Self {
-        HotClassCache {
-            entries: Vec::new(),
-            clock: 0,
-        }
-    }
-
-    fn get(&self, hash: H) -> Option<CanonRef> {
-        self.entries
-            .iter()
-            .find(|(h, _)| *h == hash)
-            .map(|&(_, r)| r)
-    }
-
-    fn insert(&mut self, hash: H, canon: CanonRef) {
-        if let Some(slot) = self.entries.iter_mut().find(|(h, _)| *h == hash) {
-            slot.1 = canon;
-        } else if self.entries.len() < HOT_CLASS_CAP {
-            self.entries.push((hash, canon));
-        } else {
-            self.entries[self.clock] = (hash, canon);
-            self.clock = (self.clock + 1) % HOT_CLASS_CAP;
-        }
-    }
-}
-
 /// One lock stripe: hash-addressed classes plus the shard-local term log.
 pub(crate) struct Shard<H> {
     /// Hash → indexes into `classes`. Almost always a single entry; more
@@ -442,10 +390,6 @@ pub(crate) struct Shard<H> {
     /// to un-index the old form exactly. Always empty boxes in `Roots`
     /// mode, where the root class is recovered from `terms` instead.
     pub(crate) term_subs: Vec<Box<[(u64, u32)]>>,
-    /// Recently-merged classes, for the intern short-circuit in
-    /// [`Shard::insert_entry`]. Process-local and advisory: never
-    /// persisted, rebuilt empty by recovery ([`Shard::from_parts`]).
-    pub(crate) hot_classes: HotClassCache<H>,
 }
 
 impl<H: HashWord> Shard<H> {
@@ -455,7 +399,6 @@ impl<H: HashWord> Shard<H> {
             classes: Vec::new(),
             terms: Vec::new(),
             term_subs: Vec::new(),
-            hot_classes: HotClassCache::new(),
         }
     }
 
@@ -477,10 +420,6 @@ impl<H: HashWord> Shard<H> {
             classes,
             terms,
             term_subs,
-            // Recovery starts the cache cold: cached refs are per-process
-            // packings, and a cold cache only costs the first walk per
-            // hot class.
-            hot_classes: HotClassCache::new(),
         }
     }
 
@@ -496,35 +435,14 @@ impl<H: HashWord> Shard<H> {
     /// entry that creates a class is interned here — `view` is released
     /// first, since interning write-locks table stripes the view may hold
     /// read guards on.
-    ///
-    /// Frontier entries whose hash hits the shard's [`HotClassCache`]
-    /// skip the walk: the form is interned up front (pure hash-consing
-    /// hits on a hot class) and confirmed by ref compare, counted as
-    /// `merge_confirm_cached`. The cache never decides equality — a
-    /// false hit degrades to the intern class creation would have done.
     pub(crate) fn insert_entry(
         &mut self,
         table: &CanonTable,
         view: &mut TableView<'_>,
-        mut entry: SubEntry<H>,
+        entry: SubEntry<H>,
         is_root: bool,
         obs: &StoreObs,
     ) -> (u32, bool, bool) {
-        let mut via_cache = false;
-        if matches!(entry.canon, PreparedCanon::Frontier { .. })
-            && self.buckets.get(&entry.hash).is_some_and(|b| !b.is_empty())
-            && self.hot_classes.get(entry.hash).is_some()
-        {
-            let PreparedCanon::Frontier { canon, canon_root } = &entry.canon else {
-                unreachable!("matched Frontier above");
-            };
-            // Same lock-order dance as frontier class creation: release
-            // the read view before interning write-locks table stripes.
-            view.release();
-            let r = table.intern_arena(canon, *canon_root);
-            entry.canon = PreparedCanon::Interned(r);
-            via_cache = true;
-        }
         let bucket = self.buckets.entry(entry.hash).or_default();
         let mut mismatched = false;
         for &ci in bucket.iter() {
@@ -534,11 +452,7 @@ impl<H: HashWord> Shard<H> {
                     PreparedCanon::Interned(r) => {
                         let eq = *r == class.canon;
                         if eq {
-                            if via_cache {
-                                obs.confirm_cached();
-                            } else {
-                                obs.confirm_ref();
-                            }
+                            obs.confirm_ref();
                         }
                         eq
                     }
@@ -557,7 +471,6 @@ impl<H: HashWord> Shard<H> {
                 if is_root {
                     class.members += 1;
                 }
-                self.hot_classes.insert(entry.hash, class.canon);
                 return (ci, false, mismatched);
             }
             mismatched = true;
@@ -673,9 +586,8 @@ pub struct AlphaStore<H: HashWord = u64> {
     /// updates. Lock order: after `maintenance` (shared), before the WAL
     /// mutex and shard locks.
     pub(crate) updates: Mutex<crate::update::UpdateCache<H>>,
-    /// The instrumentation seam (`crate::obs`): a real metric registry
-    /// with the `obs` cargo feature, an inlined no-op ZST without. Obs
-    /// recording never takes a store lock; inside critical sections only
+    /// The instrumentation seam (`crate::obs`): the store's metric
+    /// registry and tracer. Obs recording never takes a store lock; inside critical sections only
     /// wait-free operations (atomic adds, monotonic clock reads) happen.
     pub(crate) obs: StoreObs,
     /// What recovery did, for stores built by the durable open paths
@@ -2101,9 +2013,8 @@ impl<H: HashWord> AlphaStore<H> {
     }
 }
 
-/// Observability surface, present with the `obs` cargo feature
-/// (default). See `docs/OBSERVABILITY.md` for the metric catalog.
-#[cfg(feature = "obs")]
+/// Observability surface. See `docs/OBSERVABILITY.md` for the metric
+/// catalog.
 impl<H: HashWord> AlphaStore<H> {
     /// A point-in-time snapshot of every instrument this store owns —
     /// latency histograms, confirmation counters, WAL gauges — unified

@@ -128,7 +128,7 @@ pub struct UpdateOutcome {
 /// How many per-term incremental hashers the store keeps alive. Each one
 /// holds a named copy of its term plus O(n) hash state, so the cache is
 /// deliberately small; evicted terms just pay one O(n) rebuild on their
-/// next update.
+/// next update. At capacity the least recently updated term goes.
 const UPDATE_CACHE_CAP: usize = 64;
 
 /// The store's incremental-rewrite state: a bounded map from
@@ -137,6 +137,8 @@ const UPDATE_CACHE_CAP: usize = 64;
 /// doubles as the serializer for all updates (both granularities).
 pub(crate) struct UpdateCache<H: HashWord> {
     entries: HashMap<u64, CachedSpine<H>>,
+    /// Count of `put` calls: the recency clock for eviction.
+    tick: u64,
 }
 
 struct CachedSpine<H: HashWord> {
@@ -144,12 +146,15 @@ struct CachedSpine<H: HashWord> {
     /// synchronized — the cache-validity check.
     class_bits: u64,
     hasher: IncrementalHasher<H>,
+    /// [`UpdateCache::tick`] at the entry's last `put`.
+    last_put: u64,
 }
 
 impl<H: HashWord> Default for UpdateCache<H> {
     fn default() -> Self {
         UpdateCache {
             entries: HashMap::new(),
+            tick: 0,
         }
     }
 }
@@ -163,15 +168,26 @@ impl<H: HashWord> UpdateCache<H> {
         (cached.class_bits == class_bits).then_some(cached.hasher)
     }
 
-    /// (Re-)caches a hasher, evicting an arbitrary entry at capacity.
+    /// (Re-)caches a hasher, evicting the least recently put entry at
+    /// capacity (a scan of [`UPDATE_CACHE_CAP`] entries, small next to
+    /// the update itself).
     fn put(&mut self, term_bits: u64, class_bits: u64, hasher: IncrementalHasher<H>) {
         if self.entries.len() >= UPDATE_CACHE_CAP && !self.entries.contains_key(&term_bits) {
-            if let Some(&victim) = self.entries.keys().next() {
+            let oldest = self.entries.iter().min_by_key(|(_, e)| e.last_put);
+            if let Some((&victim, _)) = oldest {
                 self.entries.remove(&victim);
             }
         }
-        self.entries
-            .insert(term_bits, CachedSpine { class_bits, hasher });
+        self.tick += 1;
+        let last_put = self.tick;
+        self.entries.insert(
+            term_bits,
+            CachedSpine {
+                class_bits,
+                hasher,
+                last_put,
+            },
+        );
     }
 }
 
@@ -948,6 +964,46 @@ mod tests {
             .shards(8)
             .subexpressions(1)
             .build()
+    }
+
+    /// A hot term re-updated between updates of more than
+    /// `UPDATE_CACHE_CAP` distinct cold terms is never evicted: the cache
+    /// drops the least recently updated term, so it always holds the hot
+    /// term plus the most recent cold ones.
+    #[test]
+    fn update_cache_evicts_the_least_recently_updated_term() {
+        let store = roots_store();
+        let mut arena = ExprArena::new();
+        let hot_root = parse(&mut arena, r"\x. x * 7").unwrap();
+        let hot = store.insert(&arena, hot_root).term;
+        let cold: Vec<TermId> = (0..2 * UPDATE_CACHE_CAP as i64)
+            .map(|i| {
+                let t = parse(&mut arena, &format!(r"\x. x + {i}")).unwrap();
+                store.insert(&arena, t).term
+            })
+            .collect();
+        let cached = |store: &AlphaStore<u64>| -> Vec<u64> {
+            let cache = store.updates.lock().unwrap();
+            let mut bits: Vec<u64> = cache.entries.keys().copied().collect();
+            bits.sort_unstable();
+            bits
+        };
+        for (i, &term) in cold.iter().enumerate() {
+            let patch = parse(&mut arena, &format!("{}", 1000 + i)).unwrap();
+            let rw = Rewrite {
+                path: &[0, 1],
+                arena: &arena,
+                root: patch,
+            };
+            store.update(term, rw);
+            store.update(hot, rw);
+            let recent = &cold[(i + 1).saturating_sub(UPDATE_CACHE_CAP - 1)..=i];
+            let mut expected: Vec<u64> = recent.iter().map(|t| t.to_bits()).collect();
+            expected.push(hot.to_bits());
+            expected.sort_unstable();
+            assert_eq!(cached(&store), expected, "after cold update {i}");
+        }
+        assert!(store.stats().is_exact());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!     O(n³) pairwise predicate);
 //! (c) **concurrent ingest is equivalent to sequential ingest** — 8
 //!     threads racing on the shards produce the same class partition as a
-//!     single thread, with identical stats invariants.
+//!     single thread, with identical stats invariants, on a varied corpus
+//!     and on a duplicate-heavy one.
 
 use alpha_hash::combine::{HashScheme, HashWord};
 use alpha_hash::equiv::{ground_truth_classes, same_partition};
@@ -44,6 +45,33 @@ fn corpus(arena: &mut ExprArena, seed: u64, count: usize) -> Vec<NodeId> {
             roots.push(uniquify_into(&scratch, root, arena));
         } else {
             roots.push(arena.import_subtree(&scratch, root));
+        }
+    }
+    roots
+}
+
+/// A duplicate-heavy corpus: `shapes` distinct generator outputs, each
+/// appearing `copies` times as alpha-renamed variants, so most inserts
+/// are repeat merges into a few classes, each confirmed by a frontier
+/// walk.
+fn duplicate_heavy_corpus(
+    arena: &mut ExprArena,
+    seed: u64,
+    shapes: usize,
+    copies: usize,
+) -> Vec<NodeId> {
+    let mut roots = Vec::with_capacity(shapes * copies);
+    for shape in 0..shapes {
+        let mut rng = StdRng::seed_from_u64(seed ^ shape as u64);
+        let size = 8 + (shape % 4) * 10;
+        let mut scratch = ExprArena::new();
+        let root = match shape % 3 {
+            0 => expr_gen::balanced(&mut scratch, size, &mut rng),
+            1 => expr_gen::unbalanced(&mut scratch, size, &mut rng),
+            _ => expr_gen::arithmetic(&mut scratch, size.max(8), &mut rng),
+        };
+        for _ in 0..copies {
+            roots.push(uniquify_into(&scratch, root, arena));
         }
     }
     roots
@@ -113,6 +141,46 @@ fn partition_of(classes: &[ClassId]) -> Vec<Vec<usize>> {
     out
 }
 
+/// Ingests `roots` sequentially and from 8 racing threads, and checks
+/// that both stores hold the same partition with the same stats.
+fn check_concurrent_matches_sequential(
+    arena: &ExprArena,
+    roots: &[NodeId],
+) -> Result<(), TestCaseError> {
+    // Sequential reference.
+    let sequential = AlphaStore::with_shards(scheme(), 8);
+    let seq_classes: Vec<ClassId> = roots
+        .iter()
+        .map(|&r| sequential.insert(arena, r).class)
+        .collect();
+
+    // Concurrent: 8 threads, one chunk each, racing on 8 shards.
+    let concurrent = AlphaStore::with_shards(scheme(), 8);
+    std::thread::scope(|scope| {
+        for chunk in roots.chunks(roots.len().div_ceil(8)) {
+            scope.spawn(|| concurrent.insert_batch(arena, chunk));
+        }
+    });
+    // Class ids differ between runs (creation order is racy), so
+    // compare the partitions, recovered via lookup.
+    let conc_classes: Vec<ClassId> = roots
+        .iter()
+        .map(|&r| concurrent.lookup(arena, r).expect("ingested term found"))
+        .collect();
+
+    prop_assert_eq!(partition_of(&seq_classes), partition_of(&conc_classes));
+    prop_assert_eq!(sequential.num_terms(), concurrent.num_terms());
+    prop_assert_eq!(sequential.num_classes(), concurrent.num_classes());
+
+    let seq_stats = sequential.stats();
+    let conc_stats = concurrent.stats();
+    prop_assert!(conc_stats.is_exact());
+    prop_assert_eq!(seq_stats.terms_ingested, conc_stats.terms_ingested);
+    prop_assert_eq!(seq_stats.classes_created, conc_stats.classes_created);
+    prop_assert_eq!(seq_stats.merges_confirmed, conc_stats.merges_confirmed);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -174,41 +242,21 @@ proptest! {
     }
 
     /// (c) Concurrent ingest from 8 threads yields the same class
-    /// partition as sequential ingest of the same corpus.
+    /// partition as sequential ingest of the same corpus, for a varied
+    /// corpus and for a few shapes with many alpha-copies each.
     #[test]
-    fn concurrent_ingest_matches_sequential(seed in any::<u64>()) {
+    fn concurrent_ingest_matches_sequential(
+        seed in any::<u64>(),
+        shapes in 2usize..6,
+        copies in 4usize..9,
+    ) {
         let mut arena = ExprArena::new();
         let roots = corpus(&mut arena, seed, 48);
+        check_concurrent_matches_sequential(&arena, &roots)?;
 
-        // Sequential reference.
-        let sequential = AlphaStore::with_shards(scheme(), 8);
-        let seq_classes: Vec<ClassId> =
-            roots.iter().map(|&r| sequential.insert(&arena, r).class).collect();
-
-        // Concurrent: 8 threads, one chunk each, racing on 8 shards.
-        let concurrent = AlphaStore::with_shards(scheme(), 8);
-        std::thread::scope(|scope| {
-            for chunk in roots.chunks(roots.len().div_ceil(8)) {
-                scope.spawn(|| concurrent.insert_batch(&arena, chunk));
-            }
-        });
-        // Class ids differ between runs (creation order is racy), so
-        // compare the partitions, recovered via lookup.
-        let conc_classes: Vec<ClassId> = roots
-            .iter()
-            .map(|&r| concurrent.lookup(&arena, r).expect("ingested term found"))
-            .collect();
-
-        prop_assert_eq!(partition_of(&seq_classes), partition_of(&conc_classes));
-        prop_assert_eq!(sequential.num_terms(), concurrent.num_terms());
-        prop_assert_eq!(sequential.num_classes(), concurrent.num_classes());
-
-        let seq_stats = sequential.stats();
-        let conc_stats = concurrent.stats();
-        prop_assert!(conc_stats.is_exact());
-        prop_assert_eq!(seq_stats.terms_ingested, conc_stats.terms_ingested);
-        prop_assert_eq!(seq_stats.classes_created, conc_stats.classes_created);
-        prop_assert_eq!(seq_stats.merges_confirmed, conc_stats.merges_confirmed);
+        let mut arena = ExprArena::new();
+        let roots = duplicate_heavy_corpus(&mut arena, seed, shapes, copies);
+        check_concurrent_matches_sequential(&arena, &roots)?;
     }
 
     /// `contains` answers exactly the brute-force containment predicate —
